@@ -45,6 +45,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use acn_overlay::{NodeId, Ring};
 use acn_simnet::{Context, DeliveryPolicy, Process, ProcessId, SimConfig, Simulator};
@@ -248,11 +249,12 @@ pub enum Msg {
     /// (node ids are never reused), so merging is a plain set union and
     /// every node's view epoch `|known| + |dead|` only moves forward —
     /// a state-based CRDT that converges regardless of delivery order.
+    /// The sets are the sender's shared view snapshots, not copies.
     ViewGossip {
         /// Every node the sender has ever known.
-        known: BTreeSet<NodeId>,
+        known: ViewSet,
         /// Tombstones: nodes the sender knows to be crashed or departed.
-        dead: BTreeSet<NodeId>,
+        dead: ViewSet,
     },
     /// Rescue sweep: the coordinator (the suspector of a crash) asks a
     /// peer for the slice of the cut it covers.
@@ -611,6 +613,11 @@ struct TokenFlight {
 /// deployment would expire entries; the simulation keeps them all.)
 pub type SeenTokens = BTreeSet<(u64, WireAddress)>;
 
+/// One membership set as a shared copy-on-write snapshot: a node's view
+/// and every gossip message it sends point at the same set, and a local
+/// change clones it only while a message still holds the old snapshot.
+pub type ViewSet = Arc<BTreeSet<NodeId>>;
+
 /// A hosted component plus its runtime bookkeeping.
 #[derive(Debug, Clone)]
 struct Hosted {
@@ -727,10 +734,10 @@ pub struct NodeProc {
     departed: bool,
     /// Membership CRDT: every node ever known. Monotone (ids are never
     /// reused), so the view epoch `|known| + |dead|` only grows and
-    /// gossip merge is a plain union.
-    view_known: BTreeSet<NodeId>,
+    /// gossip merge is a plain union. Invariant: `view_dead ⊆ view_known`.
+    view_known: ViewSet,
     /// Membership CRDT: tombstones for crashed/departed nodes.
-    view_dead: BTreeSet<NodeId>,
+    view_dead: ViewSet,
     /// Materialized ring over `known - dead`: what *this node believes*
     /// the membership is. All hot-path ownership lookups resolve here —
     /// never against the harness's ground-truth `World::ring`.
@@ -781,8 +788,8 @@ impl NodeProc {
             level: 0,
             level_period,
             departed: false,
-            view_known: BTreeSet::from([node]),
-            view_dead: BTreeSet::new(),
+            view_known: Arc::new(BTreeSet::from([node])),
+            view_dead: Arc::default(),
             view_ring: {
                 let mut r = Ring::new();
                 r.add_node(node);
@@ -802,8 +809,9 @@ impl NodeProc {
 
     /// Seeds the initial membership view (bootstrap/join contact list).
     pub fn seed_view(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
-        self.view_known.extend(nodes);
-        self.view_known.insert(self.node);
+        let known = Arc::make_mut(&mut self.view_known);
+        known.extend(nodes);
+        known.insert(self.node);
         self.rebuild_view_ring();
     }
 
@@ -853,7 +861,7 @@ impl NodeProc {
 
     fn rebuild_view_ring(&mut self) {
         let mut ring = Ring::new();
-        for &n in &self.view_known {
+        for &n in self.view_known.iter() {
             if !self.view_dead.contains(&n) {
                 ring.add_node(n);
             }
@@ -863,35 +871,60 @@ impl NodeProc {
 
     /// Union-merges a gossiped view into the local one. Returns whether
     /// anything changed (the re-broadcast trigger).
-    fn merge_view(&mut self, known: &BTreeSet<NodeId>, dead: &BTreeSet<NodeId>) -> bool {
-        let before = self.view_epoch();
-        self.view_known.extend(known.iter().copied());
-        self.view_known.extend(dead.iter().copied());
-        self.view_dead.extend(dead.iter().copied());
-        let changed = self.view_epoch() != before;
-        if changed {
-            self.rebuild_view_ring();
+    ///
+    /// The result is always the set union, but it is reached by the
+    /// cheapest route. Most deliveries of a gossip flood carry nothing
+    /// new: the same snapshot (a pointer check) or a subset of the local
+    /// view (a no-op). An incoming view that covers the local one is
+    /// adopted by sharing its snapshots, so a flood converges on one
+    /// shared snapshot and its repeats hit the pointer check. Only a
+    /// partial overlap builds a new set.
+    fn merge_view(&mut self, known: &ViewSet, dead: &ViewSet) -> bool {
+        if Arc::ptr_eq(known, &self.view_known) && Arc::ptr_eq(dead, &self.view_dead) {
+            return false;
         }
-        changed
+        let nothing_new = known.is_subset(&self.view_known) && dead.is_subset(&self.view_dead);
+        // `dead ⊆ known` keeps the local invariant when adopting a
+        // harness-built payload; every node-built view satisfies it.
+        if self.view_known.is_subset(known)
+            && self.view_dead.is_subset(dead)
+            && dead.is_subset(known)
+        {
+            // Equal content included: sharing the sender's snapshots
+            // turns this pair's later repeats into pointer checks.
+            self.view_known = Arc::clone(known);
+            self.view_dead = Arc::clone(dead);
+        } else if !nothing_new {
+            let local_known = Arc::make_mut(&mut self.view_known);
+            local_known.extend(known.iter().copied());
+            local_known.extend(dead.iter().copied());
+            Arc::make_mut(&mut self.view_dead).extend(dead.iter().copied());
+        }
+        if nothing_new {
+            return false;
+        }
+        self.rebuild_view_ring();
+        true
     }
 
-    /// Gossips the local view to every known peer. Sent only on change,
-    /// so each membership event costs O(N^2) messages before every
-    /// view converges and the wave dies out. Tombstoned peers are
-    /// included deliberately: a ghost (departed, or falsely suspected)
-    /// may still hold frozen state whose coordinator just died, and it
-    /// needs the tombstone to nudge the orphan back into the protocol.
-    /// Sends to genuinely crashed processes are dropped by the plane.
+    /// Gossips the local view to every peer it has ever known. Sent only
+    /// on change: every node that adopts a change re-broadcasts it once,
+    /// so one membership event costs O(N_live × N_ever) messages before
+    /// the wave dies out. Every message carries the same shared snapshot
+    /// of the view, not a copy. Tombstoned peers are included
+    /// deliberately: a ghost (departed, or falsely suspected) may still
+    /// hold frozen state whose coordinator just died, and it needs the
+    /// tombstone to nudge the orphan back into the protocol. Sends to
+    /// genuinely crashed processes are dropped by the plane.
     fn broadcast_view(&mut self, ctx: &mut Context<'_, Msg>) {
-        let peers: Vec<NodeId> =
-            self.view_known.iter().copied().filter(|&n| n != self.node).collect();
-        self.world.borrow().metrics.fd_gossip.add(peers.len() as u64);
+        let peers = self.view_known.iter().copied().filter(|&n| n != self.node);
+        self.world.borrow().metrics.fd_gossip.add(peers.clone().count() as u64);
         for peer in peers {
             ctx.send(
                 ProcessId(peer.0),
                 Msg::ViewGossip {
-                    known: self.view_known.clone(),
-                    dead: self.view_dead.clone(),
+                    known: Arc::clone(&self.view_known),
+                    dead: Arc::clone(&self.view_dead),
                 },
             );
         }
@@ -1006,7 +1039,7 @@ impl NodeProc {
     /// remaining owners) and NACKs tokens so senders re-resolve.
     pub fn depart(&mut self) {
         self.departed = true;
-        self.view_dead.insert(self.node);
+        Arc::make_mut(&mut self.view_dead).insert(self.node);
         self.rebuild_view_ring();
     }
 
@@ -1478,17 +1511,12 @@ impl NodeProc {
         };
         let (merged, merged_seen, nested_requester) = {
             let op = self.merges.get(&parent).expect("merge in progress");
-            let children: Vec<Component> = op
-                .collected
-                .iter()
-                .map(|c| c.clone().expect("all collected").0)
-                .collect();
+            let collected = || op.collected.iter().map(|c| c.as_ref().expect("all collected"));
+            let children: Vec<Component> = collected().map(|(comp, _)| comp.clone()).collect();
             // The merge result inherits the union of the children's
             // idempotency ledgers: it covers all their regions.
-            let mut merged_seen = SeenTokens::new();
-            for c in op.collected.iter() {
-                merged_seen.extend(c.as_ref().expect("all collected").1.iter().cloned());
-            }
+            let merged_seen: SeenTokens =
+                collected().flat_map(|(_, seen)| seen.iter().cloned()).collect();
             match merge_components(&tree, &parent, &children, style) {
                 Ok(m) => (m, merged_seen, op.requester.clone()),
                 Err(_) => {
@@ -1940,8 +1968,8 @@ impl NodeProc {
         if self.view_dead.contains(&dead) {
             return;
         }
-        self.view_known.insert(dead);
-        self.view_dead.insert(dead);
+        Arc::make_mut(&mut self.view_known).insert(dead);
+        Arc::make_mut(&mut self.view_dead).insert(dead);
         self.rebuild_view_ring();
         self.world.borrow_mut().note_detection(dead, ctx.now());
         {
@@ -2287,7 +2315,7 @@ impl NodeProc {
     /// pending installs to their *current* view-owners.
     fn redrive_rescue(&mut self, ctx: &mut Context<'_, Msg>) {
         let (requery, reinstall, finalize) = {
-            let dead = self.view_dead.clone();
+            let dead = Arc::clone(&self.view_dead);
             let Some(op) = &mut self.rescue else { return };
             op.stalled_rounds += 1;
             if op.stalled_rounds <= 2 {
@@ -3096,8 +3124,8 @@ impl Deployment {
 
     /// Injects a token on input wire `wire` via a uniformly random node.
     pub fn inject(&mut self, wire: usize) {
-        let nodes: Vec<NodeId> = self.world.borrow().ring.nodes().collect();
-        let pick = nodes[(acn_overlay::splitmix64(&mut self.seed) as usize) % nodes.len()];
+        let k = (acn_overlay::splitmix64(&mut self.seed) as usize) % self.world.borrow().ring.len();
+        let pick = self.world.borrow().ring.nodes().nth(k).expect("k < ring.len()");
         self.sim.send_external(ProcessId(pick.0), Msg::ClientInject { wire });
     }
 
@@ -3161,10 +3189,7 @@ impl Deployment {
         if succ != node {
             self.sim.send_external(
                 ProcessId(succ.0),
-                Msg::ViewGossip {
-                    known: BTreeSet::from([node]),
-                    dead: BTreeSet::new(),
-                },
+                Msg::ViewGossip { known: Arc::new(BTreeSet::from([node])), dead: Arc::default() },
             );
         }
         node
@@ -3229,8 +3254,8 @@ impl Deployment {
         self.sim.send_external(
             ProcessId(succ.0),
             Msg::ViewGossip {
-                known: BTreeSet::from([node]),
-                dead: BTreeSet::from([node]),
+                known: Arc::new(BTreeSet::from([node])),
+                dead: Arc::new(BTreeSet::from([node])),
             },
         );
         self.migrate_components();
@@ -4132,5 +4157,80 @@ mod tests {
         let c = d.collector();
         assert_eq!(c.total(), 50);
         assert!(c.max_latency >= c.total_latency / 50);
+    }
+
+    fn view_set(ids: &[u64]) -> ViewSet {
+        Arc::new(ids.iter().map(|&i| NodeId(i)).collect())
+    }
+
+    /// Node 1 with the view `known = {1, 2, 3}`, `dead = {}`.
+    fn view_node() -> NodeProc {
+        let mut np = NodeProc::new(World::new(8, Ring::new()), NodeId(1), 100);
+        np.seed_view([NodeId(2), NodeId(3)]);
+        assert_eq!(np.view_epoch(), 3);
+        np
+    }
+
+    #[test]
+    fn merge_view_same_snapshot_is_a_noop() {
+        let mut np = view_node();
+        let (known, dead) = (Arc::clone(&np.view_known), Arc::clone(&np.view_dead));
+        assert!(!np.merge_view(&known, &dead));
+        assert_eq!(np.view_epoch(), 3);
+        assert!(np.view_live(NodeId(2)) && np.view_live(NodeId(3)));
+        assert!(Arc::ptr_eq(&np.view_known, &known));
+    }
+
+    #[test]
+    fn merge_view_equal_content_is_a_noop_that_shares_the_snapshot() {
+        let mut np = view_node();
+        let (known, dead) = (view_set(&[1, 2, 3]), view_set(&[]));
+        assert!(!Arc::ptr_eq(&np.view_known, &known));
+        assert!(!np.merge_view(&known, &dead));
+        assert_eq!(np.view_epoch(), 3);
+        assert!(np.view_live(NodeId(1)) && np.view_live(NodeId(2)) && np.view_live(NodeId(3)));
+        assert!(Arc::ptr_eq(&np.view_known, &known) && Arc::ptr_eq(&np.view_dead, &dead));
+    }
+
+    #[test]
+    fn merge_view_adopts_a_superset() {
+        let mut np = view_node();
+        let (known, dead) = (view_set(&[1, 2, 3, 4, 5]), view_set(&[5]));
+        assert!(np.merge_view(&known, &dead));
+        assert_eq!(np.view_epoch(), 6);
+        assert!(np.view_live(NodeId(4)));
+        assert!(!np.view_live(NodeId(5)) && np.view_dead_contains(NodeId(5)));
+        assert!(Arc::ptr_eq(&np.view_known, &known) && Arc::ptr_eq(&np.view_dead, &dead));
+        assert_eq!(np.view_ring.len(), 4);
+        // The adopted snapshot is shared, not aliased: a local change
+        // copies it and leaves the sender's set untouched.
+        np.depart();
+        assert!(np.view_dead_contains(NodeId(1)));
+        assert_eq!(*dead, BTreeSet::from([NodeId(5)]));
+    }
+
+    #[test]
+    fn merge_view_unions_a_partial_overlap() {
+        let mut np = view_node();
+        let (known, dead) = (view_set(&[1, 2, 6]), view_set(&[2]));
+        assert!(np.merge_view(&known, &dead));
+        assert_eq!(np.view_epoch(), 5);
+        assert!(np.view_live(NodeId(3)) && np.view_live(NodeId(6)));
+        assert!(!np.view_live(NodeId(2)) && np.view_dead_contains(NodeId(2)));
+        assert!(!Arc::ptr_eq(&np.view_known, &known));
+        assert_eq!(np.view_ring.len(), 3);
+        // The incoming snapshot is left as it was.
+        assert_eq!(*known, BTreeSet::from([NodeId(1), NodeId(2), NodeId(6)]));
+    }
+
+    #[test]
+    fn merge_view_tombstone_only_payload_adds_the_id_to_both_sets() {
+        let mut np = view_node();
+        assert!(np.merge_view(&view_set(&[]), &view_set(&[9])));
+        assert_eq!(np.view_epoch(), 5);
+        assert!(np.view_known.contains(&NodeId(9)) && np.view_dead_contains(NodeId(9)));
+        assert!(!np.view_live(NodeId(9)));
+        assert!(np.view_live(NodeId(2)) && np.view_live(NodeId(3)));
+        assert_eq!(np.view_ring.len(), 3);
     }
 }

@@ -824,8 +824,9 @@ impl<M, P: Process<M>> Simulator<M, P> {
     fn deliver(&mut self, event: Event<M>) {
         self.time = event.time;
         self.stats.events_processed += 1;
-        // Take the process out to sidestep aliasing with the context.
-        let Some(mut process) = self.processes.remove(&event.to) else {
+        // The handler runs on the process in place: the context borrows
+        // only the outbox, timer and RNG fields, disjoint from `processes`.
+        let Some(process) = self.processes.get_mut(&event.to) else {
             if let Payload::Message { from, .. } = &event.payload {
                 self.stats.messages_dropped += 1;
                 self.metrics.drops_absent.inc();
@@ -870,14 +871,14 @@ impl<M, P: Process<M>> Simulator<M, P> {
                 }
             }
         }
-        self.processes.insert(event.to, process);
-        // Apply buffered sends and timers.
-        let outbox = std::mem::take(&mut self.outbox);
-        for (from, to, msg, lossy) in outbox {
+        // Apply buffered sends and timers, keeping the buffers' capacity.
+        let mut outbox = std::mem::take(&mut self.outbox);
+        for (from, to, msg, lossy) in outbox.drain(..) {
             self.enqueue_message(from, to, msg, lossy);
         }
-        let timers = std::mem::take(&mut self.timer_requests);
-        for (on, delay, tag) in timers {
+        self.outbox = outbox;
+        let mut timers = std::mem::take(&mut self.timer_requests);
+        for (on, delay, tag) in timers.drain(..) {
             let time = self.time + delay.max(1);
             let seq = self.next_seq();
             let sent_at = self.time;
@@ -890,6 +891,7 @@ impl<M, P: Process<M>> Simulator<M, P> {
                 payload: Payload::Timer { tag },
             });
         }
+        self.timer_requests = timers;
         self.metrics.queue_depth.set(self.pending_events() as f64);
     }
 
@@ -951,6 +953,65 @@ mod tests {
         }
         fn on_timer(&mut self, ctx: &mut Context<'_, u32>, tag: u64) {
             self.log.borrow_mut().push((ctx.now(), ctx.self_id(), tag as u32 + 1000));
+        }
+    }
+
+    /// Counts down by messaging itself, copying each step to an absent
+    /// id and arming one timer; all of its state lives in the process.
+    #[derive(Default)]
+    struct SelfLoop {
+        handled: u32,
+        timers: u32,
+        last: Option<u32>,
+    }
+
+    impl Process<u32> for SelfLoop {
+        fn on_message(&mut self, ctx: &mut Context<'_, u32>, _from: ProcessId, msg: u32) {
+            if self.handled == 0 {
+                ctx.set_timer(5, 7);
+            }
+            self.handled += 1;
+            self.last = Some(msg);
+            if msg > 0 {
+                ctx.send(ctx.self_id(), msg - 1);
+                ctx.send(ProcessId(99), msg);
+            }
+        }
+        fn on_timer(&mut self, _ctx: &mut Context<'_, u32>, tag: u64) {
+            assert_eq!(tag, 7);
+            self.timers += 1;
+        }
+    }
+
+    #[test]
+    fn handlers_mutate_their_process_in_place_under_both_policies() {
+        for policy in [DeliveryPolicy::Seeded, DeliveryPolicy::External] {
+            let mut sim: Simulator<u32, SelfLoop> =
+                Simulator::with_policy(SimConfig::default(), policy);
+            sim.add_process(ProcessId(1), SelfLoop::default());
+            sim.send_external(ProcessId(1), 3);
+            match policy {
+                DeliveryPolicy::Seeded => assert!(sim.run_until_idle(100)),
+                DeliveryPolicy::External => {
+                    while let Some(head) = sim.enabled_events().first().copied() {
+                        assert!(sim.fire(head.key), "{policy:?}: enabled event refused");
+                    }
+                }
+            }
+            let p = sim.process(ProcessId(1)).expect("process stays registered");
+            assert_eq!((p.handled, p.timers, p.last), (4, 1, Some(0)), "{policy:?}");
+            assert!(!sim.contains(ProcessId(99)));
+            assert_eq!(
+                sim.stats(),
+                SimStats {
+                    messages_delivered: 4,
+                    messages_dropped: 3,
+                    messages_lost: 0,
+                    timers_fired: 1,
+                    events_processed: 8,
+                },
+                "{policy:?}"
+            );
         }
     }
 

@@ -63,6 +63,12 @@ echo "==> bench smoke (E18 throughput harness, artifact under target/)"
 # the committed BENCH_throughput.json.
 scripts/bench.sh --smoke
 
+echo "==> repository benchmark self-tests (correctness gates, planted-fault catch)"
+# The benchmark is a workspace of its own, so the workspace test run
+# above does not reach it; this catches a protocol change that breaks
+# the benchmark's correctness gates or its planted-fault catch.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
