@@ -353,7 +353,7 @@ impl<S: SyncApi> SharedAdaptiveNetwork<S> {
             .leaves()
             .iter()
             .map(|id| {
-                (id.clone(), S::Mutex::with_rank(Component::new(&tree, id), lock_rank(id)))
+                (*id, S::Mutex::with_rank(Component::new(&tree, id), lock_rank(id)))
             })
             .collect();
         let structure = Structure { cut, components };
@@ -801,14 +801,14 @@ impl<S: SyncApi> SharedAdaptiveNetwork<S> {
         let children = {
             let parent = structure.components[id].lock();
             split_component(tree, &parent, style)
-                .map_err(|why| AdaptError::Deferred(id.clone(), why))?
+                .map_err(|why| AdaptError::Deferred(*id, why))?
         };
         structure.components.remove(id);
         for child in children {
             let rank = lock_rank(child.id());
             structure
                 .components
-                .insert(child.id().clone(), S::Mutex::with_rank(child, rank));
+                .insert(*child.id(), S::Mutex::with_rank(child, rank));
         }
         structure.cut = cut;
         Ok(())
@@ -905,7 +905,7 @@ impl<S: SyncApi> SharedAdaptiveNetwork<S> {
             .leaves()
             .iter()
             .enumerate()
-            .map(|(i, id)| (id.clone(), i))
+            .map(|(i, id)| (*id, i))
             .collect();
         let leaves: Vec<FastLeaf<S>> = structure
             .cut
@@ -932,7 +932,7 @@ impl<S: SyncApi> SharedAdaptiveNetwork<S> {
                     })
                     .collect();
                 FastLeaf {
-                    id: id.clone(),
+                    id: *id,
                     width,
                     base_tokens: comp.tokens(),
                     hops: CachePadded::new(S::AtomicU64::new(0)),
@@ -973,11 +973,11 @@ impl<S: SyncApi> SharedAdaptiveNetwork<S> {
         id: &ComponentId,
     ) -> Result<(), AdaptError> {
         if structure.cut.contains(id) {
-            return Err(AdaptError::Cut(CutError::NotALeaf(id.clone())));
+            return Err(AdaptError::Cut(CutError::NotALeaf(*id)));
         }
         let children_ids = tree.children(id);
         if children_ids.is_empty() {
-            return Err(AdaptError::Cut(CutError::ChildrenNotLeaves(id.clone())));
+            return Err(AdaptError::Cut(CutError::ChildrenNotLeaves(*id)));
         }
         for child in &children_ids {
             if !structure.cut.contains(child) {
@@ -989,12 +989,12 @@ impl<S: SyncApi> SharedAdaptiveNetwork<S> {
             .map(|c| structure.components[c].lock().clone())
             .collect();
         let parent = merge_components(tree, id, &children, style)
-            .map_err(|why| AdaptError::Deferred(id.clone(), why))?;
+            .map_err(|why| AdaptError::Deferred(*id, why))?;
         for c in &children_ids {
             structure.components.remove(c);
         }
         let rank = lock_rank(id);
-        structure.components.insert(id.clone(), S::Mutex::with_rank(parent, rank));
+        structure.components.insert(*id, S::Mutex::with_rank(parent, rank));
         structure.cut.merge(tree, id).expect("children are leaves now");
         Ok(())
     }

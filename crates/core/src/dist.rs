@@ -35,8 +35,9 @@
 //!   the invariant "every component on `v` is at level `>= l_v`";
 //! - **churn** (Section 3.4): joins migrate components to their new hash
 //!   owners; graceful leaves hand components and pending merge
-//!   obligations to the successor; crashes lose state, and a repair
-//!   sweep re-covers the cut (the \[HT03\]-style stabilization hook).
+//!   obligations to the successor; crashes lose state, and the
+//!   survivors detect the crash, gossip it, and re-cover the cut with an
+//!   in-protocol rescue sweep (DESIGN §13).
 //!
 //! Exited tokens are reported to a collector process which serves as the
 //! measurement endpoint for the experiments.
@@ -356,7 +357,6 @@ pub(crate) struct DistMetrics {
     migrations: Counter,
     /// Node crashes injected by the harness.
     crashes: Counter,
-    /// Components re-installed by cut repair after crashes.
     /// Level-estimate changes observed at `level_tick` (the adaptivity
     /// signal of paper Section 3.2).
     level_changes: Counter,
@@ -713,9 +713,9 @@ pub struct NodeProc {
     split_list: BTreeSet<ComponentId>,
     splits: BTreeMap<ComponentId, SplitOp>,
     merges: BTreeMap<ComponentId, MergeOp>,
-    /// Tokens this node is responsible for until acknowledged:
-    /// guid -> (addr, injected_at, attempt of the outstanding send,
-    /// send time; `sent` false while the probe chain is exhausted).
+    /// Tokens this node is responsible for until acknowledged, by guid
+    /// (an exhausted probe chain keeps its entry until the retry timer
+    /// restarts probing).
     unacked: BTreeMap<u64, UnackedToken>,
     /// GUIDs of tokens this node has accepted (duplicate suppression).
     seen: BTreeSet<u64>,
@@ -971,7 +971,7 @@ impl NodeProc {
     /// ledger (split inheritance, merge union, migration).
     pub fn install_component_with_seen(&mut self, comp: Component, seen: SeenTokens) {
         self.components.insert(
-            comp.id().clone(),
+            *comp.id(),
             Hosted { comp, frozen: false, frozen_by: None, buffer: Vec::new(), seen },
         );
     }
@@ -1186,7 +1186,7 @@ impl NodeProc {
                         hosted.buffer.push((token, addr, injected_at, hops));
                         return;
                     }
-                    if dedup && !hosted.seen.insert((token, addr.clone())) {
+                    if dedup && !hosted.seen.insert((token, addr)) {
                         // This component (or its lineage) already
                         // consumed this token at this wire: the copy is
                         // a re-routed retransmission whose original was
@@ -1259,20 +1259,17 @@ impl NodeProc {
     ) {
         let TokenFlight { token, addr, injected_at, hops } = flight;
         let guid = guid.unwrap_or_else(|| self.world.borrow_mut().fresh_guid());
-        let candidates: Vec<ComponentId> = addr.candidates().collect();
+        let balancer = *addr.balancer();
         let mut attempt = attempt;
         loop {
             let guess = if attempt == ATTEMPT_CACHED {
-                let level = self
-                    .cache
-                    .get(&addr)
-                    .copied()
-                    .unwrap_or(self.level)
-                    .min(candidates.len() - 1);
-                // candidates[i] has level (max_level - i): deepest first.
-                candidates[candidates.len() - 1 - level].clone()
-            } else if (attempt as usize) < candidates.len() {
-                candidates[attempt as usize].clone()
+                let level =
+                    self.cache.get(&addr).copied().unwrap_or(self.level).min(balancer.level());
+                balancer.ancestor_at(level)
+            } else if usize::from(attempt) <= balancer.level() {
+                // The canonical chain is deepest first: attempt i probes
+                // the ancestor i levels above the balancer.
+                balancer.ancestor_at(balancer.level() - usize::from(attempt))
             } else {
                 // Chain exhausted (reconfiguration window): keep the
                 // obligation and let the retry timer start over.
@@ -1289,10 +1286,10 @@ impl NodeProc {
                 attempt = if attempt == ATTEMPT_CACHED { 0 } else { attempt + 1 };
                 continue;
             }
-            self.cache.insert(addr.clone(), guess.level());
+            self.cache.insert(addr, guess.level());
             self.unacked.insert(
                 guid,
-                UnackedToken { token, addr: addr.clone(), injected_at, sent_at: ctx.now(), hops },
+                UnackedToken { token, addr, injected_at, sent_at: ctx.now(), hops },
             );
             self.arm_retry(ctx);
             {
@@ -1356,7 +1353,7 @@ impl NodeProc {
             if ProcessId(host.0) == ctx.self_id() {
                 local_installs.push(child);
             } else {
-                op.pending.insert(child.id().clone(), child.clone());
+                op.pending.insert(*child.id(), child.clone());
                 ctx.send(
                     ProcessId(host.0),
                     Msg::Install { comp: child, seen: parent_seen.clone() },
@@ -1367,9 +1364,9 @@ impl NodeProc {
             self.install_component_with_seen(child, parent_seen.clone());
         }
         if op.pending.is_empty() {
-            self.finish_split(ctx, id.clone(), op.started_at);
+            self.finish_split(ctx, *id, op.started_at);
         } else {
-            self.splits.insert(id.clone(), op);
+            self.splits.insert(*id, op);
         }
     }
 
@@ -1427,7 +1424,7 @@ impl NodeProc {
                 .with("nested", requester.is_some()),
         );
         self.merges.insert(
-            id.clone(),
+            *id,
             MergeOp {
                 started_at: ctx.now(),
                 collected: vec![None; arity],
@@ -1448,7 +1445,7 @@ impl NodeProc {
         if let Some(hosted) = self.components.get_mut(child) {
             if self.splits.contains_key(child) {
                 // Mid-split: retry once the split finishes.
-                self.stuck_collects.push((child.clone(), parent.clone()));
+                self.stuck_collects.push((*child, *parent));
                 self.arm_retry(ctx);
                 return;
             }
@@ -1461,20 +1458,20 @@ impl NodeProc {
             let me = ctx.self_id();
             if let Some(op) = self.merges.get_mut(child) {
                 // Already merging it for ourselves: attach the requester.
-                op.requester = Some((me, parent.clone()));
+                op.requester = Some((me, *parent));
             } else {
-                self.start_merge(ctx, &child.clone(), Some((me, parent.clone())));
+                self.start_merge(ctx, child, Some((me, *parent)));
             }
         } else {
             let host = self.owner_of(child);
             if ProcessId(host.0) == ctx.self_id() {
                 // We own the name but have nothing: transient window.
-                self.stuck_collects.push((child.clone(), parent.clone()));
+                self.stuck_collects.push((*child, *parent));
                 self.arm_retry(ctx);
             } else {
                 ctx.send(
                     ProcessId(host.0),
-                    Msg::FreezeCollect { id: child.clone(), parent: parent.clone() },
+                    Msg::FreezeCollect { id: *child, parent: *parent },
                 );
             }
         }
@@ -1499,7 +1496,7 @@ impl NodeProc {
         op.reporters[index] = Some(reporter);
         op.stalled_rounds = 0;
         if op.collected.iter().all(Option::is_some) {
-            self.complete_merge(ctx, parent.clone());
+            self.complete_merge(ctx, *parent);
         }
     }
 
@@ -1518,7 +1515,7 @@ impl NodeProc {
             let merged_seen: SeenTokens =
                 collected().flat_map(|(_, seen)| seen.iter().cloned()).collect();
             match merge_components(&tree, &parent, &children, style) {
-                Ok(m) => (m, merged_seen, op.requester.clone()),
+                Ok(m) => (m, merged_seen, op.requester),
                 Err(_) => {
                     // Unsettled traffic: release the children and retry
                     // at a later tick.
@@ -1532,7 +1529,7 @@ impl NodeProc {
             // requester will `RemoveFrozen` us like any other child.
             let frozen_by = (req_pid != ctx.self_id()).then_some(req_pid);
             self.components.insert(
-                parent.clone(),
+                parent,
                 Hosted {
                     comp: merged.clone(),
                     frozen: true,
@@ -1644,12 +1641,12 @@ impl NodeProc {
         }
         if let Some((req_pid, grandparent)) = op.requester {
             if req_pid == ctx.self_id() {
-                self.stuck_collects.push((parent.clone(), grandparent));
+                self.stuck_collects.push((*parent, grandparent));
                 self.arm_retry(ctx);
             } else {
                 ctx.send(
                     req_pid,
-                    Msg::CollectMissing { id: parent.clone(), parent: grandparent },
+                    Msg::CollectMissing { id: *parent, parent: grandparent },
                 );
             }
         }
@@ -1725,7 +1722,7 @@ impl NodeProc {
             .filter(|(id, hosted)| {
                 !hosted.frozen && hosted.comp.width() >= 4 && id.level() < self.level
             })
-            .map(|(id, _)| id.clone())
+            .map(|(id, _)| *id)
             .collect();
         for id in to_split {
             self.start_split(ctx, &id);
@@ -1770,7 +1767,7 @@ impl NodeProc {
             .iter_mut()
             .filter_map(|(id, op)| {
                 op.stalled_rounds += 1;
-                (op.stalled_rounds > 2).then(|| id.clone())
+                (op.stalled_rounds > 2).then_some(*id)
             })
             .collect();
         for parent in stalled {
@@ -1787,7 +1784,7 @@ impl NodeProc {
                     op.pending.remove(&cid);
                     if op.pending.is_empty() {
                         let op = self.splits.remove(&parent).expect("present");
-                        self.finish_split(ctx, parent.clone(), op.started_at);
+                        self.finish_split(ctx, parent, op.started_at);
                         break;
                     }
                 } else {
@@ -1813,7 +1810,7 @@ impl NodeProc {
             .merges
             .iter()
             .filter(|(_, op)| !op.awaiting_install)
-            .map(|(id, _)| id.clone())
+            .map(|(id, _)| *id)
             .collect();
         for parent in in_progress {
             let (missing, progressed): (Vec<ComponentId>, bool) = {
@@ -1867,7 +1864,7 @@ impl NodeProc {
             .components
             .iter()
             .filter(|(_, h)| !h.frozen)
-            .map(|(id, _)| id.clone())
+            .map(|(id, _)| *id)
             .collect();
         for id in ids {
             let owner = self.owner_of(&id);
@@ -2007,7 +2004,7 @@ impl NodeProc {
             .iter()
             .filter_map(|(id, h)| match h.frozen_by {
                 Some(pid) if self.view_dead.contains(&NodeId(pid.0)) => {
-                    id.parent().map(|p| (id.clone(), p))
+                    id.parent().map(|p| (*id, p))
                 }
                 _ => None,
             })
@@ -2044,7 +2041,7 @@ impl NodeProc {
             }
             return;
         }
-        self.split_list.insert(parent.clone());
+        self.split_list.insert(parent);
         if !self.merges.contains_key(&parent) {
             self.start_merge(ctx, &parent, None);
         }
@@ -2066,20 +2063,20 @@ impl NodeProc {
         let mut covered: Vec<(ComponentId, bool)> = self
             .components
             .iter()
-            .map(|(id, h)| (id.clone(), h.frozen))
+            .map(|(id, h)| (*id, h.frozen))
             .collect();
         for op in self.splits.values() {
-            covered.extend(op.pending.keys().map(|id| (id.clone(), false)));
+            covered.extend(op.pending.keys().map(|id| (*id, false)));
         }
         for (parent, op) in &self.merges {
             if op.awaiting_install {
-                covered.push((parent.clone(), false));
+                covered.push((*parent, false));
             }
         }
         if let Some(op) = &self.rescue {
-            covered.extend(op.installs.keys().map(|id| (id.clone(), false)));
+            covered.extend(op.installs.keys().map(|id| (*id, false)));
         }
-        covered.extend(self.migrating.keys().map(|id| (id.clone(), false)));
+        covered.extend(self.migrating.keys().map(|id| (*id, false)));
         covered
     }
 
@@ -2191,7 +2188,7 @@ impl NodeProc {
         // Refresh local coverage so the walk below doesn't resurrect an
         // ancestor of something we now host.
         for (id, h) in &self.components {
-            op.covered.insert(id.clone(), (self.node, h.frozen));
+            op.covered.insert(*id, (self.node, h.frozen));
         }
         for id in self
             .splits
@@ -2199,7 +2196,7 @@ impl NodeProc {
             .flat_map(|s| s.pending.keys())
             .chain(self.migrating.keys())
         {
-            op.covered.insert(id.clone(), (self.node, false));
+            op.covered.insert(*id, (self.node, false));
         }
         // A *frozen* covered id under a *live* covered proper ancestor
         // is a merge leftover (the coordinator died between installing
@@ -2216,7 +2213,7 @@ impl NodeProc {
                         op.covered.get(&a).is_some_and(|(_, afrozen)| !afrozen)
                     })
             })
-            .map(|(id, (reporter, _))| (id.clone(), *reporter))
+            .map(|(id, (reporter, _))| (*id, *reporter))
             .collect();
         for (id, reporter) in discards {
             self.world.borrow().metrics.rescue_discards.inc();
@@ -2270,7 +2267,7 @@ impl NodeProc {
             if ProcessId(owner.0) == ctx.self_id() && !self.departed {
                 self.install_component(Component::new(&tree, &id));
             } else {
-                op.installs.insert(id.clone(), owner);
+                op.installs.insert(id, owner);
                 ctx.send(
                     ProcessId(owner.0),
                     Msg::RescueInstall { comp: Component::new(&tree, &id) },
@@ -2358,7 +2355,7 @@ impl NodeProc {
                 }
             } else {
                 if let Some(op) = &mut self.rescue {
-                    op.installs.insert(id.clone(), owner);
+                    op.installs.insert(id, owner);
                 }
                 ctx.send(
                     ProcessId(owner.0),
@@ -2408,6 +2405,7 @@ impl Process<Msg> for NodeProc {
                 let dedup = !self.world.borrow().mutation_no_ack_dedup;
                 let tracer = self.world.borrow().tracer.clone();
                 let traced = tracer.should_sample(token);
+                let owner = if self.departed { None } else { self.hosted_candidate(&addr) };
                 if dedup && self.seen.contains(&guid) {
                     // Duplicate (retransmission raced the ack): already
                     // accepted; just re-acknowledge.
@@ -2420,7 +2418,7 @@ impl Process<Msg> for NodeProc {
                         );
                     }
                     ctx.send(from, Msg::TokenAck { guid });
-                } else if self.departed || self.hosted_candidate(&addr).is_none() {
+                } else if owner.is_none() {
                     {
                         let mut w = self.world.borrow_mut();
                         w.token_nacks += 1;
@@ -2443,12 +2441,9 @@ impl Process<Msg> for NodeProc {
                         ctx.send(from, Msg::TokenNack { guid, token, addr, injected_at, attempt });
                     }
                 } else if from != ProcessId::EXTERNAL
-                    && self
-                        .hosted_candidate(&addr)
-                        .and_then(|id| self.components.get(&id))
-                        .is_some_and(|h| {
-                            h.frozen && h.buffer.len() >= self.frozen_buffer_cap
-                        })
+                    && owner.and_then(|id| self.components.get(&id)).is_some_and(|h| {
+                        h.frozen && h.buffer.len() >= self.frozen_buffer_cap
+                    })
                 {
                     // Backpressure: the owning component is frozen and
                     // its buffer is at capacity. Shed the token back to
@@ -2506,7 +2501,7 @@ impl Process<Msg> for NodeProc {
                 // split or re-covered. Ack either way — the sender's
                 // obligation is discharged by the region being
                 // covered, not by this exact copy landing.
-                let id = comp.id().clone();
+                let id = *comp.id();
                 if !self.components.contains_key(&id)
                     && !self.accepting_would_double_cover(&id)
                 {
@@ -2595,7 +2590,7 @@ impl Process<Msg> for NodeProc {
                 if self.departed || !self.view_live(self.node) {
                     return;
                 }
-                let id = comp.id().clone();
+                let id = *comp.id();
                 if !self.components.contains_key(&id)
                     && !self.accepting_would_double_cover(&id)
                 {
@@ -2631,7 +2626,7 @@ impl Process<Msg> for NodeProc {
                     // re-resolves ownership against a fresher view.
                     return;
                 }
-                let id = comp.id().clone();
+                let id = *comp.id();
                 match self.components.get_mut(&id) {
                     Some(h) => {
                         // Double cover: a rescue installed a fresh
@@ -2752,7 +2747,7 @@ impl Process<Msg> for NodeProc {
                     .migrating
                     .iter()
                     .filter(|(_, m)| now.saturating_sub(m.sent_at) >= timeout)
-                    .map(|(id, _)| id.clone())
+                    .map(|(id, _)| *id)
                     .collect();
                 for id in stale_migrations {
                     let owner = self.owner_of(&id);
@@ -3162,7 +3157,7 @@ impl Deployment {
                     if frozen {
                         busy = true;
                     } else {
-                        leaves.push(id.clone());
+                        leaves.push(*id);
                     }
                 }
             }

@@ -120,7 +120,7 @@ impl LocalAdaptiveNetwork {
         let components = cut
             .leaves()
             .iter()
-            .map(|id| (id.clone(), Component::new(&tree, id)))
+            .map(|id| (*id, Component::new(&tree, id)))
             .collect();
         LocalAdaptiveNetwork {
             tree,
@@ -153,7 +153,7 @@ impl LocalAdaptiveNetwork {
     ) -> Self {
         assert_eq!(input_counts.len(), w, "input ledger must have width {w}");
         assert_eq!(output_counts.len(), w, "output ledger must have width {w}");
-        let cut = Cut::from_leaves(components.iter().map(|c| c.id().clone()));
+        let cut = Cut::from_leaves(components.iter().map(|c| *c.id()));
         let mut net = Self::with_cut(w, cut, style);
         for comp in components {
             net.replace_component(comp);
@@ -296,10 +296,10 @@ impl LocalAdaptiveNetwork {
         let mut cut = self.cut.clone();
         cut.split(&self.tree, id)?;
         let children = split_component(&self.tree, &self.components[id], self.style)
-            .map_err(|why| AdaptError::Deferred(id.clone(), why))?;
+            .map_err(|why| AdaptError::Deferred(*id, why))?;
         self.components.remove(id).expect("leaf has a component");
         for child in children {
-            self.components.insert(child.id().clone(), child);
+            self.components.insert(*child.id(), child);
         }
         self.cut = cut;
         Ok(())
@@ -315,11 +315,11 @@ impl LocalAdaptiveNetwork {
     /// covered by the current cut.
     pub fn merge(&mut self, id: &ComponentId) -> Result<(), AdaptError> {
         if self.cut.contains(id) {
-            return Err(CutError::NotALeaf(id.clone()).into());
+            return Err(CutError::NotALeaf(*id).into());
         }
         let children_ids = self.tree.children(id);
         if children_ids.is_empty() {
-            return Err(CutError::ChildrenNotLeaves(id.clone()).into());
+            return Err(CutError::ChildrenNotLeaves(*id).into());
         }
         // Every child must be covered by the cut at or below it; merge
         // grandchildren first.
@@ -334,11 +334,11 @@ impl LocalAdaptiveNetwork {
             .collect();
         let children_owned: Vec<Component> = children.into_iter().cloned().collect();
         let parent = merge_components(&self.tree, id, &children_owned, self.style)
-            .map_err(|why| AdaptError::Deferred(id.clone(), why))?;
+            .map_err(|why| AdaptError::Deferred(*id, why))?;
         for c in &children_ids {
             self.components.remove(c);
         }
-        self.components.insert(id.clone(), parent);
+        self.components.insert(*id, parent);
         self.cut.merge(&self.tree, id).expect("children are leaves now");
         Ok(())
     }
@@ -397,7 +397,7 @@ impl LocalAdaptiveNetwork {
     /// Replaces a live component wholesale (stabilization).
     pub(crate) fn replace_component(&mut self, comp: Component) {
         assert!(self.cut.contains(comp.id()), "replacement must be a cut leaf");
-        self.components.insert(comp.id().clone(), comp);
+        self.components.insert(*comp.id(), comp);
     }
 
     /// Internal consistency check: the component map matches the cut.
@@ -501,7 +501,7 @@ mod tests {
                         .cloned()
                         .collect();
                     if !candidates.is_empty() {
-                        let pick = candidates[(lcg(&mut seed) as usize) % candidates.len()].clone();
+                        let pick = candidates[(lcg(&mut seed) as usize) % candidates.len()];
                         net.split(&pick).unwrap();
                     }
                 }
@@ -514,7 +514,7 @@ mod tests {
                         .filter_map(|l| l.parent())
                         .collect();
                     if !parents.is_empty() {
-                        let pick = parents[(lcg(&mut seed) as usize) % parents.len()].clone();
+                        let pick = parents[(lcg(&mut seed) as usize) % parents.len()];
                         let _ = net.merge(&pick);
                     }
                 }
@@ -561,7 +561,7 @@ mod tests {
                             // May fail with TokensInFlight right after a
                             // merge over in-flight tokens; that is the
                             // intended guard.
-                            let _ = net.split(&pick.clone());
+                            let _ = net.split(pick);
                         }
                     }
                     1 => {
@@ -570,7 +570,7 @@ mod tests {
                         if let Some(pick) =
                             parents.get((lcg(&mut seed) as usize) % parents.len().max(1))
                         {
-                            let _ = net.merge(&pick.clone());
+                            let _ = net.merge(pick);
                         }
                     }
                     2..=4 => {

@@ -107,8 +107,8 @@ impl NeighborCache {
                 if probes == 1 && self.cache.contains_key(addr) {
                     self.stats.cache_hits += 1;
                 }
-                self.cache.insert(addr.clone(), candidate.clone());
-                return candidate.clone();
+                self.cache.insert(*addr, *candidate);
+                return *candidate;
             }
         }
         panic!("cut does not cover wire address {addr}");

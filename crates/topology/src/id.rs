@@ -1,6 +1,8 @@
 //! Path-based component identifiers.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::kind::ComponentKind;
 
@@ -10,6 +12,11 @@ use crate::kind::ComponentKind;
 /// child index (`0..arity` of the parent's kind; see
 /// [`ComponentKind::arity`]). The identifier is *width independent*: the
 /// same path names a component in every tree deep enough to contain it.
+///
+/// The path is stored inline (at most [`MAX_LEVEL`](ComponentId::MAX_LEVEL)
+/// steps plus a length), so identifiers are `Copy` and building, walking
+/// and hashing them never allocates. Equality, ordering and hashing are
+/// those of the path slice.
 ///
 /// Identifiers order lexicographically by path, which coincides with the
 /// pre-order traversal order of `T_w` among comparable nodes; the paper's
@@ -27,16 +34,23 @@ use crate::kind::ComponentKind;
 /// assert_eq!(child.level(), 1);
 /// assert_eq!(child.parent(), Some(root));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Clone, Copy, Eq, Default)]
 pub struct ComponentId {
-    path: Vec<u8>,
+    len: u8,
+    steps: [u8; ComponentId::MAX_LEVEL],
 }
 
 impl ComponentId {
+    /// The deepest level an identifier can name: the balancer level of
+    /// `T_w` for `w = 2^23`, the widest tree [`Tree::new`] accepts.
+    ///
+    /// [`Tree::new`]: crate::Tree::new
+    pub const MAX_LEVEL: usize = 22;
+
     /// The root component, `BITONIC[w]`.
     #[must_use]
     pub fn root() -> Self {
-        ComponentId { path: Vec::new() }
+        ComponentId::default()
     }
 
     /// Builds an identifier directly from a path of child indices.
@@ -44,73 +58,103 @@ impl ComponentId {
     /// The path is not validated against any particular tree; use
     /// [`Tree::info`] to check validity for a given width.
     ///
+    /// # Panics
+    ///
+    /// Panics if the path is longer than [`MAX_LEVEL`](ComponentId::MAX_LEVEL)
+    /// steps.
+    ///
     /// [`Tree::info`]: crate::Tree::info
     #[must_use]
-    pub fn from_path(path: impl Into<Vec<u8>>) -> Self {
-        ComponentId { path: path.into() }
+    pub fn from_path(path: impl AsRef<[u8]>) -> Self {
+        let path = path.as_ref();
+        assert!(
+            path.len() <= Self::MAX_LEVEL,
+            "component path of {} steps exceeds ComponentId::MAX_LEVEL ({})",
+            path.len(),
+            Self::MAX_LEVEL
+        );
+        let mut id = ComponentId::root();
+        id.steps[..path.len()].copy_from_slice(path);
+        id.len = path.len() as u8;
+        id
     }
 
     /// The path of child indices from the root.
     #[must_use]
     pub fn path(&self) -> &[u8] {
-        &self.path
+        &self.steps[..usize::from(self.len)]
     }
 
     /// The level of this component in `T_w` (the root is at level 0).
     #[must_use]
     pub fn level(&self) -> usize {
-        self.path.len()
+        usize::from(self.len)
     }
 
     /// Whether this is the root component.
     #[must_use]
     pub fn is_root(&self) -> bool {
-        self.path.is_empty()
+        self.len == 0
     }
 
     /// The identifier of the `index`-th child.
     ///
     /// # Panics
     ///
-    /// Panics if `index >= 6` (no component kind has more children).
+    /// Panics if `index >= 6` (no component kind has more children) or if
+    /// `self` is already at [`MAX_LEVEL`](ComponentId::MAX_LEVEL).
     #[must_use]
     pub fn child(&self, index: u8) -> Self {
         assert!(index < 6, "child index {index} out of range");
-        let mut path = self.path.clone();
-        path.push(index);
-        ComponentId { path }
+        assert!(
+            self.level() < Self::MAX_LEVEL,
+            "child of {self} exceeds ComponentId::MAX_LEVEL ({})",
+            Self::MAX_LEVEL
+        );
+        let mut id = *self;
+        id.steps[self.level()] = index;
+        id.len += 1;
+        id
     }
 
     /// The identifier of the parent, or `None` for the root.
     #[must_use]
     pub fn parent(&self) -> Option<Self> {
-        if self.path.is_empty() {
-            return None;
-        }
-        let mut path = self.path.clone();
-        path.pop();
-        Some(ComponentId { path })
+        (!self.is_root()).then(|| self.ancestor_at(self.level() - 1))
+    }
+
+    /// The ancestor at `level` (the path prefix of that length); `self`
+    /// when `level == self.level()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level > self.level()`.
+    #[must_use]
+    pub fn ancestor_at(&self, level: usize) -> Self {
+        assert!(level <= self.level(), "level {level} is deeper than {self}");
+        let mut id = ComponentId::root();
+        id.steps[..level].copy_from_slice(&self.steps[..level]);
+        id.len = level as u8;
+        id
     }
 
     /// The child index of this component within its parent, or `None` for
     /// the root.
     #[must_use]
     pub fn child_index(&self) -> Option<u8> {
-        self.path.last().copied()
+        self.path().last().copied()
     }
 
     /// Whether `self` is an ancestor of `other` (a proper prefix of its
     /// path). A component is not its own ancestor.
     #[must_use]
     pub fn is_ancestor_of(&self, other: &ComponentId) -> bool {
-        self.path.len() < other.path.len() && other.path.starts_with(&self.path)
+        self.len < other.len && other.path().starts_with(self.path())
     }
 
     /// Iterator over all ancestors from the parent up to the root.
     pub fn ancestors(&self) -> impl Iterator<Item = ComponentId> + '_ {
-        (0..self.path.len())
-            .rev()
-            .map(|len| ComponentId::from_path(&self.path[..len]))
+        (0..self.level()).rev().map(|level| self.ancestor_at(level))
     }
 
     /// The kind of the component this path names (independent of width).
@@ -120,7 +164,7 @@ impl ComponentId {
     #[must_use]
     pub fn kind(&self) -> Option<ComponentKind> {
         let mut kind = ComponentKind::Bitonic;
-        for &step in &self.path {
+        for &step in self.path() {
             kind = kind.child_kind(step as usize)?;
         }
         Some(kind)
@@ -129,39 +173,80 @@ impl ComponentId {
     /// Packs the path into a `u64` for hashing and wire formats.
     ///
     /// Encoding: base-7 digits (child index + 1), most significant first.
-    /// Unique for paths of length at most 22, which covers every practical
-    /// width (`w` up to `2^23`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the path is longer than 22 steps.
+    /// Unique because a path has at most
+    /// [`MAX_LEVEL`](ComponentId::MAX_LEVEL) steps and `7^22 < 2^64`.
     #[must_use]
     pub fn to_u64(&self) -> u64 {
-        assert!(self.path.len() <= 22, "path too long to pack into u64");
-        self.path
-            .iter()
-            .fold(0u64, |acc, &c| acc * 7 + u64::from(c) + 1)
+        self.path().iter().fold(0u64, |acc, &c| acc * 7 + u64::from(c) + 1)
     }
 
     /// Inverse of [`to_u64`](ComponentId::to_u64).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packed` has more than
+    /// [`MAX_LEVEL`](ComponentId::MAX_LEVEL) base-7 digits.
     #[must_use]
-    pub fn from_u64(mut packed: u64) -> Self {
-        let mut rev = Vec::new();
-        while packed != 0 {
-            rev.push((packed % 7) as u8 - 1);
-            packed /= 7;
+    pub fn from_u64(packed: u64) -> Self {
+        let mut digits = 0;
+        let mut rest = packed;
+        while rest != 0 {
+            digits += 1;
+            rest /= 7;
         }
-        rev.reverse();
-        ComponentId { path: rev }
+        assert!(
+            digits <= Self::MAX_LEVEL,
+            "packed id {packed} exceeds ComponentId::MAX_LEVEL ({})",
+            Self::MAX_LEVEL
+        );
+        let mut id = ComponentId { len: digits as u8, steps: [0; Self::MAX_LEVEL] };
+        let mut rest = packed;
+        for step in id.steps[..digits].iter_mut().rev() {
+            *step = (rest % 7) as u8 - 1;
+            rest /= 7;
+        }
+        id
+    }
+}
+
+impl PartialEq for ComponentId {
+    fn eq(&self, other: &Self) -> bool {
+        self.path() == other.path()
+    }
+}
+
+impl PartialOrd for ComponentId {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ComponentId {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.path().cmp(other.path())
+    }
+}
+
+impl Hash for ComponentId {
+    /// Hashes the path slice: the same byte stream as hashing the path as
+    /// a `Vec<u8>`, so stored fingerprints do not depend on the layout.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.path().hash(state);
+    }
+}
+
+impl fmt::Debug for ComponentId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ComponentId").field("path", &self.path()).finish()
     }
 }
 
 impl fmt::Display for ComponentId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.path.is_empty() {
+        if self.is_root() {
             return f.write_str("/");
         }
-        for step in &self.path {
+        for step in self.path() {
             write!(f, "/{step}")?;
         }
         Ok(())
@@ -250,6 +335,30 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 1 + 6 + 36 + 216 + 1296);
+    }
+
+    #[test]
+    fn max_level_path_roundtrips() {
+        let path: Vec<u8> = (0..ComponentId::MAX_LEVEL as u8).map(|i| i % 2).collect();
+        let id = ComponentId::from_path(&path);
+        assert_eq!(id.level(), ComponentId::MAX_LEVEL);
+        assert_eq!(id.path(), path.as_slice());
+        assert_eq!(ComponentId::from_u64(id.to_u64()), id);
+        let rebuilt = path.iter().fold(ComponentId::root(), |id, &step| id.child(step));
+        assert_eq!(rebuilt, id);
+        assert_eq!(id.ancestors().count(), ComponentId::MAX_LEVEL);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds ComponentId::MAX_LEVEL")]
+    fn from_path_rejects_paths_past_max_level() {
+        let _ = ComponentId::from_path([0; ComponentId::MAX_LEVEL + 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds ComponentId::MAX_LEVEL")]
+    fn child_rejects_steps_past_max_level() {
+        let _ = ComponentId::from_path([0; ComponentId::MAX_LEVEL]).child(0);
     }
 
     #[test]

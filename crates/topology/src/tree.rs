@@ -67,12 +67,20 @@ impl Tree {
     ///
     /// # Panics
     ///
-    /// Panics if `width` is not a power of two or is less than 2.
+    /// Panics if `width` is not a power of two or is less than 2, or if it
+    /// exceeds `2^23` (balancers would sit deeper than
+    /// [`ComponentId::MAX_LEVEL`]).
     #[must_use]
     pub fn new(width: usize) -> Self {
         assert!(
             width >= 2 && width.is_power_of_two(),
             "width must be a power of two >= 2, got {width}"
+        );
+        assert!(
+            width <= 1 << (ComponentId::MAX_LEVEL + 1),
+            "width {width} exceeds 2^{}, the widest tree ComponentId::MAX_LEVEL ({}) can address",
+            ComponentId::MAX_LEVEL + 1,
+            ComponentId::MAX_LEVEL
         );
         Tree { width }
     }
@@ -100,7 +108,7 @@ impl Tree {
         }
         let kind = id.kind()?;
         Some(NodeInfo {
-            id: id.clone(),
+            id: *id,
             kind,
             width: self.width >> id.level(),
             level: id.level(),
@@ -228,6 +236,20 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two() {
         let _ = Tree::new(6);
+    }
+
+    #[test]
+    fn widest_tree_reaches_max_level() {
+        let tree = Tree::new(1 << (ComponentId::MAX_LEVEL + 1));
+        assert_eq!(tree.max_level(), ComponentId::MAX_LEVEL);
+        let leaf = ComponentId::from_path([0; ComponentId::MAX_LEVEL]);
+        assert!(tree.info(&leaf).is_some_and(|info| info.is_balancer()));
+    }
+
+    #[test]
+    #[should_panic(expected = "ComponentId::MAX_LEVEL")]
+    fn rejects_width_past_id_capacity() {
+        let _ = Tree::new(1 << (ComponentId::MAX_LEVEL + 2));
     }
 
     #[test]

@@ -315,7 +315,7 @@ pub fn input_port_of(
         id == addr.balancer() || id.is_ancestor_of(addr.balancer()),
         "address {addr} is not under component {id}"
     );
-    let mut node = addr.balancer().clone();
+    let mut node = *addr.balancer();
     let mut port = usize::from(addr.port());
     while &node != id {
         let parent = node.parent().expect("walk stays under id");
@@ -339,7 +339,7 @@ pub fn input_port_of(
 /// is the balancer itself or one of its ancestors — see
 /// [`WireAddress::owner_under`]. This is exactly the ancestor-chain
 /// probing structure of paper Section 3.5.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WireAddress {
     balancer: ComponentId,
     port: u8,
@@ -365,17 +365,14 @@ impl WireAddress {
     /// possible for an invalid cut).
     #[must_use]
     pub fn owner_under(&self, cut: &Cut) -> Option<ComponentId> {
-        if cut.contains(&self.balancer) {
-            return Some(self.balancer.clone());
-        }
-        self.balancer.ancestors().find(|a| cut.contains(a))
+        self.candidates().find(|c| cut.contains(c))
     }
 
     /// The candidate owners, deepest first: the balancer, then its
     /// ancestors up to the root. A router probes along this chain (at most
     /// `log w - 1` names beyond the first, paper Section 3.5).
     pub fn candidates(&self) -> impl Iterator<Item = ComponentId> + '_ {
-        std::iter::once(self.balancer.clone()).chain(self.balancer.ancestors())
+        (0..=self.balancer.level()).rev().map(|level| self.balancer.ancestor_at(level))
     }
 }
 
@@ -431,7 +428,7 @@ pub fn resolve_output(
 ) -> OutputDestination {
     let info = tree.info(id).expect("invalid component id");
     assert!(port < info.width, "port {port} out of range for width {}", info.width);
-    let mut node = id.clone();
+    let mut node = *id;
     let mut port = port;
     loop {
         let Some(parent) = node.parent() else {
@@ -535,7 +532,7 @@ impl CutWiring {
                 };
                 ports.push(dest);
             }
-            edges.insert(leaf.clone(), ports);
+            edges.insert(*leaf, ports);
         }
         let inputs = (0..tree.width())
             .map(|wire| {
@@ -610,7 +607,7 @@ impl CutWiring {
         let mut v: Vec<ComponentId> = self.edges[leaf]
             .iter()
             .filter_map(|d| match d {
-                ResolvedDestination::Leaf(id) => Some(id.clone()),
+                ResolvedDestination::Leaf(id) => Some(*id),
                 ResolvedDestination::NetworkOutput(_) => None,
             })
             .collect();
@@ -741,7 +738,7 @@ mod tests {
         let mut seen = HashSet::new();
         for wire in 0..16 {
             let addr = network_input_address(&tree, wire, WiringStyle::Ahs);
-            assert!(seen.insert(addr.clone()), "wire {wire} duplicated");
+            assert!(seen.insert(addr), "wire {wire} duplicated");
             // Input wires land on level-max balancers on the input side:
             // the all-bitonic spine.
             assert!(addr.balancer().path().iter().all(|&c| c <= 1));
@@ -854,7 +851,7 @@ mod tests {
             for port in 0..node.width {
                 let addr = super::descend_to_balancer(
                     &tree,
-                    node.id.clone(),
+                    node.id,
                     port,
                     WiringStyle::Ahs,
                 );

@@ -80,7 +80,7 @@ proptest! {
         let mut seen = std::collections::HashSet::new();
         for wire in 0..w {
             let addr = network_input_address(&tree, wire, WiringStyle::Ahs);
-            prop_assert!(seen.insert(addr.clone()));
+            prop_assert!(seen.insert(addr));
             for level in 0..=tree.max_level() {
                 let cut = Cut::uniform(&tree, level);
                 prop_assert!(addr.owner_under(&cut).is_some());

@@ -12,6 +12,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> token-path allocation budget"
+# Re-runs the counting-allocator test on its own so a red gate names an
+# allocation regression on the message-passing token path directly
+# (crates/core/tests/alloc_budget.rs: at most 8 heap allocations per token).
+cargo test -q --release -p acn-core --test alloc_budget
+
 echo "==> acn-lint (workspace determinism lints)"
 cargo run -q -p acn-check --bin acn-lint
 
